@@ -1,0 +1,10 @@
+"""Make the harness modules and the program importable for the
+harness self-tests (``python3 -m pytest perfbench/tests``)."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
