@@ -11,12 +11,11 @@ two numerically hottest GDO loops as vectorized matrix passes:
 * :mod:`repro.flat.flatsta` — the full arrival/required/slack sweep of
   static timing analysis over the level structure.
 
-Every kernel is bitwise-identical to its dict-engine counterpart (the
-contract ``tests/flat/test_differential.py`` enforces), so enabling
-them (``GdoConfig.flat``) cannot change a single optimizer decision —
-only how fast the decisions are computed.  Unsupported structures raise
-:class:`~repro.flat.view.FlatViewError` and the callers fall back to
-the dict engine per call, counted as ``flat_fallbacks``.
+They are GDO's only engine.  Every kernel is bitwise-identical to its
+dict-engine counterpart (``Sta``, ``BitSimulator.simulate``,
+``ObservabilityEngine``), the reference that
+``tests/flat/test_differential.py`` compares them against.  Netlists the
+array form cannot express raise :class:`~repro.flat.view.FlatViewError`.
 """
 
 from .view import FlatView, FlatViewError, FUNC_CODES

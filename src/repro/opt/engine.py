@@ -1,23 +1,27 @@
-"""Engine plumbing for GDO: from-scratch vs. incremental updates.
+"""Engine plumbing for GDO: one incremental, flat-array engine.
 
 The paper's inner loop re-anchors timing and simulation "after every
-accepted modification" (Sec. 5).  :class:`EngineContext` centralizes
-that re-anchoring behind one interface with two implementations selected
-by ``GdoConfig.incremental``:
+accepted modification" (Sec. 5).  :class:`EngineContext` owns that
+re-anchoring:
 
-* **from scratch** — every checkout rebuilds ``Sta``, the compiled
-  simulator, and the observability engine, and every trial edit is
-  timed by a fresh ``Sta`` and refuted by a full simulation;
-* **incremental** — one :class:`~repro.timing.incremental.IncrementalSta`
-  is maintained across modifications (in-place trial edits refresh it
-  undoably), trial refutation resimulates only the substitution cone of
-  the epoch's base sim, the checkout simulator state is carried over
-  with dirty-cone re-evaluation, and cached observability rows survive
-  refreshes when their cone is untouched.
+* one :class:`~repro.timing.incremental.IncrementalSta` is maintained
+  across modifications — in-place trial edits refresh it undoably, and
+  its full recomputes run the flat level sweep;
+* trial refutation resimulates only the substitution cone of the
+  epoch's base sim;
+* the checkout simulator state is carried over with dirty-cone
+  re-evaluation, and cached observability rows survive refreshes when
+  their cone is untouched;
+* full simulations and BPFS observability batches run on the
+  flat-array kernels of :mod:`repro.flat`.
 
-Both modes consume the same seed stream and compute bitwise-identical
-values, so they produce the same modification sequence — enforced by
-``tests/opt/test_gdo_determinism.py``.
+Every value is bitwise what the reference engines (``Sta``,
+``BitSimulator.simulate``, ``ObservabilityEngine``) compute from
+scratch — the differential tests ``tests/flat/test_differential.py``,
+``tests/timing/test_incremental.py`` and
+``tests/sim/test_incremental_sim.py`` pin this.  A netlist the flat view
+cannot express raises :class:`~repro.flat.view.FlatViewError` when the
+context is built.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ from ..analysis.static_refuter import UNKNOWN, StaticRefuter
 from ..clauses.candidates import CandidateEnumerator
 from ..clauses.pvcc import Candidate
 from ..flat.batchsim import FlatObservabilityEngine, flat_simulate
-from ..flat.view import FlatView, FlatViewError
+from ..flat.view import FlatView
 from ..library.cells import TechLibrary
 from ..netlist.netlist import Branch, Netlist
 from ..obs import Observability
 from ..proof.broker import ProofBroker
 from ..sim.bitsim import BitSimulator, SimState
-from ..sim.observability import ObservabilityEngine, SignalRef
+from ..sim.observability import SignalRef
 from ..sim.vectors import random_words
 from ..timing.incremental import IncrementalSta, StaTrialUndo
 from ..timing.sta import Sta
@@ -57,9 +61,8 @@ class EngineContext:
 
     The runner asks for snapshots (:meth:`timing`, :meth:`checkout`),
     evaluates in-place trial edits (:meth:`begin_trial`, :meth:`refutes`),
-    and resolves them (:meth:`reject_trial` / :meth:`commit_trial`); the context
-    decides whether each answer is rebuilt or refreshed and counts both
-    in ``stats.engine``.
+    and resolves them (:meth:`reject_trial` / :meth:`commit_trial`); the
+    context counts rebuilds and refreshes in ``stats.engine``.
     """
 
     def __init__(self, net: Netlist, library: TechLibrary,
@@ -75,7 +78,10 @@ class EngineContext:
         self.library = library
         self.cfg = cfg
         self.stats = stats
-        self.incremental = cfg.incremental
+        # Built first: a netlist the flat view cannot express raises
+        # FlatViewError here, before the broker or journal are opened.
+        self._sta = IncrementalSta(net, library,
+                                   po_load=cfg.po_load, eps=cfg.eps)
         # Per-run observability (tracer/metrics/journal per cfg.obs);
         # threaded through every engine layer and detached in finish().
         self.obs = Observability.from_config(cfg.obs)
@@ -93,7 +99,7 @@ class EngineContext:
         self._phase_seed = cfg.seed
         self._sim: Optional[BitSimulator] = None
         self._state = None
-        self._engine: Optional[ObservabilityEngine] = None
+        self._engine: Optional[FlatObservabilityEngine] = None
         self._enum: Optional[CandidateEnumerator] = None
         self._pending: Set[str] = set()
         self._pending_removed: Set[str] = set()
@@ -104,48 +110,37 @@ class EngineContext:
         # identical with and without resume.
         self._refute_seed: Optional[int] = None
         self._trial_undo: Optional[StaTrialUndo] = None
-        self._sta: Optional[IncrementalSta] = None
         # Static funnel stage (repro.analysis): rebuilt lazily per
         # netlist state, discarded on commit.  Inactive with
         # proof="none" — there is no broker work to discharge.
         self._static: Optional[StaticRefuter] = None
         self._static_enabled = cfg.static_funnel and cfg.proof != "none"
         self._check_counter = 0
-        if self.incremental:
-            self._sta = IncrementalSta(net, library,
-                                       po_load=cfg.po_load, eps=cfg.eps,
-                                       flat=cfg.flat)
-            self._sta.metrics = self.obs.metrics
-            self._drain_sta(self._sta)
+        self._sta.metrics = self.obs.metrics
+        self._drain_sta()
 
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
     def timing(self) -> Sta:
-        """Timing snapshot of the current net (maintained or rebuilt)."""
-        if not self.incremental:
-            self.stats.engine.sta_scratch += 1
-            return make_sta(self.net, self.library, self.cfg)
+        """The maintained timing annotation of the current net."""
         return self._sta
 
     def begin_trial(self, dirty: Set[str], removed: Set[str]) -> Sta:
         """Timing of the net after an in-place trial edit.
 
-        Incremental mode refreshes the maintained annotation undoably
-        (forward sweep over the dirty cone, required times deferred);
-        from-scratch mode builds a fresh :class:`Sta` of the edited net.
-        The caller must follow up with :meth:`reject_trial` (undo) or
+        Refreshes the maintained annotation undoably (forward sweep over
+        the dirty cone, required times deferred).  The caller must
+        follow up with :meth:`reject_trial` (undo) or
         :meth:`commit_trial` (keep) before the next trial.
 
         Noteworthy trial edits are journaled here: dirty sets covering
         too much of the net force a from-scratch timing recompute
         (``sta_scratch`` records), and dirty sets touching a PI fanout
-        cone root — handled in-cone, previously indistinguishable from
-        a silent scratch fallback — are counted and journaled as
+        cone root — handled in-cone — are counted and journaled as
         ``sta_pi_root`` records.  Both classifications are pure
-        functions of the edit, so the record sequence is identical
-        under scratch/incremental engines, flat on/off, and any worker
-        count.
+        functions of the edit, so the record sequence is identical under
+        any worker count.
         """
         live = {s for s in dirty if self.net.has_signal(s)}
         event = IncrementalSta.trial_event(self.net, live)
@@ -155,30 +150,24 @@ class EngineContext:
         elif event == "pi_root":
             self.obs.journal.record("sta_pi_root", dirty=len(live))
             self.stats.engine.sta_pi_root += 1
-        if not self.incremental:
-            self.stats.engine.sta_scratch += 1
-            return make_sta(self.net, self.library, self.cfg)
         assert self._trial_undo is None, "unfinished trial"
         self._trial_undo = self._sta.refresh_trial(dirty, removed)
-        self._drain_sta(self._sta)
+        self._drain_sta()
         return self._sta
 
     def reject_trial(self) -> None:
-        """Restore the pre-trial timing annotation (incremental mode)."""
+        """Restore the pre-trial timing annotation."""
         if self._trial_undo is not None:
             self._trial_undo.apply()
             self._trial_undo = None
 
-    def _drain_sta(self, sta: IncrementalSta) -> None:
-        e = self.stats.engine
+    def _drain_sta(self) -> None:
+        sta, e = self._sta, self.stats.engine
         e.sta_scratch += sta.scratch_updates
         e.sta_incremental += sta.incremental_updates
         e.sta_signals_touched += sta.signals_touched
-        e.flat_hits += sta.flat_hits
-        e.flat_fallbacks += sta.flat_fallbacks
         sta.scratch_updates = sta.incremental_updates = 0
         sta.signals_touched = 0
-        sta.flat_hits = sta.flat_fallbacks = 0
 
     # ------------------------------------------------------------------
     # simulation / observability
@@ -192,41 +181,37 @@ class EngineContext:
         self._pending.clear()
         self._pending_removed.clear()
 
-    def checkout(self) -> Tuple[Sta, ObservabilityEngine, CandidateEnumerator]:
+    def checkout(self) -> Tuple[Sta, FlatObservabilityEngine,
+                                CandidateEnumerator]:
         """Per-pass snapshot ``(sta, engine, enumerator)`` synchronized
         to the current net and the current phase's vectors."""
         cfg = self.cfg
         counters = self.stats.engine
-        if self.incremental and self._engine is not None:
-            if self._pending or self._pending_removed:
-                dirty = set(self._pending)
-                sim, state, changed = BitSimulator.incremental(
-                    self.net, self._sim, self._state, dirty,
-                    metrics=self.obs.metrics)
-                affected = dirty | changed | self._pending_removed
-                engine = self._engine.refreshed(sim, state, affected)
-                self._retire_engine()
-                self._sim, self._state, self._engine = sim, state, engine
-                counters.sim_incremental += 1
-                counters.sim_signals_changed += len(changed)
-                self._pending.clear()
-                self._pending_removed.clear()
-        else:
-            self._retire_engine()
+        if self._engine is None:
             with self.obs.span("sim.scratch"):
                 sim = BitSimulator(self.net)
                 state = self._scratch_state(sim, self._phase_seed)
             self._sim, self._state = sim, state
-            engine_cls = (
-                FlatObservabilityEngine if cfg.flat else ObservabilityEngine
-            )
-            self._engine = engine_cls(sim, state)
+            self._engine = FlatObservabilityEngine(sim, state)
             counters.sim_scratch += 1
             self.obs.metrics.counter("sim_scratch_rebuilds",
                                      site="checkout").inc()
             self._pending.clear()
             self._pending_removed.clear()
-        sta = self.timing()
+        elif self._pending or self._pending_removed:
+            dirty = set(self._pending)
+            sim, state, changed = BitSimulator.incremental(
+                self.net, self._sim, self._state, dirty,
+                metrics=self.obs.metrics)
+            affected = dirty | changed | self._pending_removed
+            engine = self._engine.refreshed(sim, state, affected)
+            self._retire_engine()
+            self._sim, self._state, self._engine = sim, state, engine
+            counters.sim_incremental += 1
+            counters.sim_signals_changed += len(changed)
+            self._pending.clear()
+            self._pending_removed.clear()
+        sta = self._sta
         if self._enum is None:
             self._enum = CandidateEnumerator(
                 self.net, sta, self._engine, self.library,
@@ -244,39 +229,23 @@ class EngineContext:
         if self._engine is not None:
             self.stats.engine.obs_rows_computed += self._engine.computed
             self.stats.engine.obs_rows_reused += self._engine.reused
-            self.stats.engine.flat_hits += getattr(
-                self._engine, "flat_hits", 0)
-            self.stats.engine.flat_fallbacks += getattr(
-                self._engine, "flat_fallbacks", 0)
             self._engine = None
 
     def _scratch_state(self, sim: BitSimulator, seed: int) -> SimState:
-        """Full simulation of the current net on the seed's word batch —
-        one vectorized level sweep when the flat kernels are on (same
-        words, bitwise-identical values), the compiled gate loop
-        otherwise or on fallback."""
+        """Full simulation of the current net on the seed's word batch:
+        one vectorized level sweep, bitwise what ``sim.simulate`` would
+        compute on the same words."""
         words = random_words(self.net.pis, self.cfg.n_words, seed)
-        if self.cfg.flat:
-            try:
-                view = FlatView.build(self.net)
-                values = flat_simulate(view, words)
-            except FlatViewError:
-                self.stats.engine.flat_fallbacks += 1
-            else:
-                self.stats.engine.flat_hits += 1
-                return SimState(sim, values)
-        return sim.simulate(words)
+        return SimState(sim, flat_simulate(FlatView.build(self.net), words))
 
     def prefetch_observability(self, refs: Iterable[SignalRef]) -> None:
-        """Batch-compute the observability rows of a pass's target refs
-        (flat engine only; a no-op otherwise).  Rows are bitwise what
-        the lazy per-cone path would derive, so enumeration decisions —
-        and journals — are unchanged; only the loop shape differs.
+        """Batch-compute the observability rows of a pass's target refs.
+        Rows are bitwise what the lazy per-cone path would derive, so
+        enumeration decisions — and journals — are unchanged; only the
+        loop shape differs.
         """
-        engine = self._engine
-        if engine is not None and hasattr(engine, "prefetch"):
-            with self.obs.span("sim.obs_prefetch"):
-                engine.prefetch(refs)
+        with self.obs.span("sim.obs_prefetch"):
+            self._engine.prefetch(refs)
 
     # ------------------------------------------------------------------
     # refutation (the pre-proof random-word filter)
@@ -285,7 +254,7 @@ class EngineContext:
         """Simulate the base netlist for this adoption epoch, if not done.
 
         Must run *before* the trial edit mutates the net — the base sim
-        is the reference both modes compare trials against.
+        is the reference trials are compared against.
 
         ``simulate=False`` (journal replay: the refutation outcome will
         come from the records) draws the epoch's seed without building
@@ -313,35 +282,23 @@ class EngineContext:
         """True if the epoch's random vectors distinguish the applied
         trial edit from the base netlist.
 
-        Incremental mode resimulates only the substitution's fanout cone
-        of the *base* sim with the replacement's word value overriding
-        the target — the edited net is never compiled.  From-scratch
-        mode compiles and fully simulates the edited net on the same
-        words.  Both compute the trial's exact PO words, so the verdicts
-        are identical.
+        Resimulates only the substitution's fanout cone of the *base*
+        sim with the replacement's word value overriding the target —
+        the edited net is never compiled, yet the PO words are exactly
+        the trial's.
         """
         sim, state = self._refute_base
         counters = self.stats.engine
-        if self.incremental:
-            word = self._replacement_word(state, cand)
-            if isinstance(cand.target, Branch):
-                sink = (sim.index_of[cand.target.gate], cand.target.pin)
-                overrides = sim.resimulate_cone(
-                    state, edit.old_branch_signal, word, sink_filter=sink)
-            else:
-                overrides = sim.resimulate_cone(state, cand.target, word)
-            counters.sim_incremental += 1
-            counters.sim_signals_changed += len(overrides)
-            return bool(np.any(sim.po_difference(state, overrides)))
-        words = {pi: state.word(pi) for pi in self.net.pis}
-        t_state = BitSimulator(self.net).simulate(words)
-        counters.sim_scratch += 1
-        self.obs.metrics.counter("sim_scratch_rebuilds",
-                                 site="refute").inc()
-        for l_po, r_po in zip(sim.pos, self.net.pos):
-            if np.any(state.word(l_po) ^ t_state.word(r_po)):
-                return True
-        return False
+        word = self._replacement_word(state, cand)
+        if isinstance(cand.target, Branch):
+            sink = (sim.index_of[cand.target.gate], cand.target.pin)
+            overrides = sim.resimulate_cone(
+                state, edit.old_branch_signal, word, sink_filter=sink)
+        else:
+            overrides = sim.resimulate_cone(state, cand.target, word)
+        counters.sim_incremental += 1
+        counters.sim_signals_changed += len(overrides)
+        return bool(np.any(sim.po_difference(state, overrides)))
 
     @staticmethod
     def _replacement_word(state, cand: Candidate) -> np.ndarray:
@@ -425,8 +382,7 @@ class EngineContext:
         snapshots it onto ``stats.obs``.
         """
         self._retire_engine()
-        if self._sta is not None:
-            self._drain_sta(self._sta)
+        self._drain_sta()
         if self.broker is not None:
             self.stats.proof.merge(self.broker.take_counters())
             # Detach this run's observability — the broker may be

@@ -232,9 +232,9 @@ class _GdoRunner:
         candidates: List[Candidate] = []
         with self.obs.span("gdo.enumerate", phase="delay"):
             targets = enum.delay_targets()[: cfg.max_targets_per_pass]
-            # One batched BPFS sweep over every target's fault site
-            # (flat engine only); the per-target lookups below then hit
-            # the row cache instead of resimulating cone by cone.
+            # One batched BPFS sweep over every target's fault site;
+            # the per-target lookups below then hit the row cache
+            # instead of resimulating cone by cone.
             self.ctx.prefetch_observability(targets)
             for ref in targets:
                 limit = enum.point_arrival(ref) - cfg.eps

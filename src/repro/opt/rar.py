@@ -83,14 +83,12 @@ def rar_optimize(
     max_trials_per_iteration: int = 12,
     max_conflicts: Optional[int] = 50_000,
     verify_final: bool = True,
-    incremental: bool = True,
 ) -> RarStats:
     """Run RAR on a netlist; the input is not modified.
 
-    With ``incremental=True`` the bit-parallel simulation state and the
-    observability cache are carried across iterations by dirty-cone
-    refresh instead of rebuilt from scratch; both settings see the same
-    vectors and adopt the same bridges.
+    The bit-parallel simulation state and the observability cache are
+    carried across iterations by dirty-cone refresh; an adoption that
+    changes the PI set rebuilds them on the same vectors.
 
     Returns the statistics; the optimized netlist is ``stats.net``.
     """
@@ -117,7 +115,7 @@ def rar_optimize(
         if delta is None:
             break
         dirty, removed = delta
-        if incremental and set(work.pis) == set(engine.sim.net.pis):
+        if set(work.pis) == set(engine.sim.net.pis):
             sim, state, changed = BitSimulator.incremental(
                 work, engine.sim, engine.state, dirty)
             engine = engine.refreshed(sim, state, dirty | changed | removed)

@@ -17,7 +17,6 @@ function of the obligation key: parallel and serial runs agree.
 
 from __future__ import annotations
 
-import random
 import signal
 import threading
 from dataclasses import dataclass
@@ -58,21 +57,6 @@ class LadderSpec:
     bdd_max_nodes: int = 200_000
     retry_factor: int = 4          # escalated-budget multiplier
     timeout: Optional[float] = None  # per-attempt wall clock; None = off
-    #: base pause before a retry/fallback rung (0 = no pause).  Spreads
-    #: retry herds out in time when many pool workers hit budget
-    #: exhaustion together; purely temporal — verdicts are unaffected.
-    retry_delay: float = 0.0
-    #: jitter fraction on ``retry_delay``, drawn from an RNG seeded by
-    #: (obligation key, attempt) — reproducible, and de-correlated
-    #: across obligations so workers never re-synchronize.
-    retry_jitter: float = 0.5
-
-    def retry_pause(self, key: str, attempt: int) -> float:
-        """The pause before ladder rung ``attempt`` (0 for the first)."""
-        if attempt <= 0 or self.retry_delay <= 0.0:
-            return 0.0
-        rng = random.Random(f"ladder:{key}:{attempt}")
-        return self.retry_delay * (1.0 + self.retry_jitter * rng.random())
 
     def rungs(self) -> List[Tuple[str, int]]:
         """The ``(backend, budget)`` attempts, in order."""
@@ -173,9 +157,6 @@ def prove_serialized(job) -> Tuple[str, str, Dict[str, int], dict]:
     rungs = spec.rungs()
     verdict = UNKNOWN
     for attempt, (backend, budget) in enumerate(rungs):
-        pause = spec.retry_pause(key, attempt)
-        if pause > 0.0:
-            time.sleep(pause)
         slow = fault_arg(FP_BACKEND_SLOW)
         if slow is not None:
             time.sleep(slow)

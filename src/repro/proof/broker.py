@@ -102,8 +102,6 @@ class ProofBroker:
         bdd_max_nodes: int = 200_000,
         retry_factor: int = 4,
         timeout: Optional[float] = None,
-        retry_delay: float = 0.0,
-        retry_jitter: float = 0.5,
         cache_size: int = 4096,
         cache_path: Optional[str] = None,
         cache=None,
@@ -116,7 +114,6 @@ class ProofBroker:
             mode=mode if mode != "none" else "sat",
             max_conflicts=max_conflicts, bdd_max_nodes=bdd_max_nodes,
             retry_factor=retry_factor, timeout=timeout,
-            retry_delay=retry_delay, retry_jitter=retry_jitter,
         )
         # ``cache`` injects a caller-owned verdict cache — the service
         # hands every worker a ShardedProofCache over one shared store;

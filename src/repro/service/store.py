@@ -642,10 +642,9 @@ class ShardedProofCache:
     """
 
     def __init__(self, store: ShardedVerdictStore,
-                 max_entries: int = 4096, refresh_on_miss: bool = True):
+                 max_entries: int = 4096):
         self.store = store
         self.max_entries = max(1, max_entries)
-        self.refresh_on_miss = refresh_on_miss
         self.path = store.root  # parity with ProofCache.path
         self._mem: "OrderedDict[str, str]" = OrderedDict()
         self.shared_hits = 0
@@ -661,7 +660,7 @@ class ShardedProofCache:
             self._mem.move_to_end(key)
             self.local_hits += 1
             return verdict
-        verdict = self.store.get(key, refresh=self.refresh_on_miss)
+        verdict = self.store.get(key, refresh=True)
         if verdict is not None:
             self.shared_hits += 1
             self._put_mem(key, verdict)
